@@ -56,12 +56,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
-
-try:  # numpy only accelerates the batched placement path; it is optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.attributes import Attribute, DEFAULT_ATTRIBUTE
 from repro.core.data import Data
@@ -150,10 +145,6 @@ class DataSchedulerService:
         self._lifetime_dependents: Dict[str, Set[str]] = {}
         #: uids whose relative-lifetime reference currently resolves to nothing
         self._unresolved: Set[str] = set()
-        #: managed entries carrying any lifetime attribute; the batched
-        #: placement fast path requires this to be zero (see
-        #: :meth:`compute_schedule_batch`)
-        self._lifetime_count = 0
         #: (expire_at, seq, uid, generation) rows; validated lazily on pop
         self._expiry_heap: List[Tuple[float, int, str, int]] = []
         #: uids frozen during a shard migration: compute_schedule makes no
@@ -232,8 +223,6 @@ class DataSchedulerService:
             heapq.heappush(self._expiry_heap,
                            (entry.scheduled_at + attr.absolute_lifetime,
                             entry.seq, uid, entry.generation))
-        if attr.absolute_lifetime is not None or attr.relative_lifetime is not None:
-            self._lifetime_count += 1
         self._update_deficit(entry)
 
     def _detach_attribute(self, entry: ScheduledEntry) -> None:
@@ -260,8 +249,6 @@ class DataSchedulerService:
                     del self._lifetime_dependents[attr.relative_lifetime]
         self._unresolved.discard(uid)
         self._replica_deficit.discard(uid)
-        if attr.absolute_lifetime is not None or attr.relative_lifetime is not None:
-            self._lifetime_count -= 1
         entry.generation += 1   # expiry-heap rows for the old attribute die
 
     def _remove_entry(self, uid: str) -> Optional[ScheduledEntry]:
@@ -596,295 +583,6 @@ class DataSchedulerService:
             result = self.compute_schedule(host_name, set(cached_uids),
                                            reservoir=reservoir, max_new=max_new)
         return result
-
-    # ------------------------------------------------------------------ batched Algorithm 1
-    def _batch_result(self, host_name: str, cached_uids: Set[str],
-                      psi: Dict[str, ScheduledEntry], new_uids: List[str],
-                      now: float) -> SyncResult:
-        """Assemble one host's :class:`SyncResult` (batch path)."""
-        to_delete = sorted(uid for uid in cached_uids if uid not in psi)
-        assigned_pairs = [(e.data, e.attribute) for e in psi.values()]  # detlint: ignore[DET004] — Ψ insertion order is sorted Δk then seq-walk order, both deterministic
-        self._host_caches[host_name] = set(psi.keys())
-        return SyncResult(host_name=host_name, assigned=assigned_pairs,
-                          to_delete=to_delete, to_download=sorted(new_uids),
-                          time=now)
-
-    def compute_schedule_batch(
-        self,
-        host_names: Sequence[str],
-        cached_uids_per_host: Sequence[Set[str]],
-        reservoir: bool = True,
-        max_new: Optional[Union[int, Sequence[Optional[int]]]] = None,
-    ) -> List[SyncResult]:
-        """Evaluate Algorithm 1 for a whole cohort of hosts in one pass.
-
-        Returns exactly what ``[compute_schedule(h, c, ...) for h, c in
-        zip(host_names, cached_uids_per_host)]`` would — the same per-host
-        schedules *and* the same observable scheduler state afterwards
-        (owners, replica deficit, ``assignments``/``entries_examined``
-        deltas, mutation-hook calls in the same order; pinned by the
-        hypothesis oracle in ``tests/test_data_scheduler_batch.py``) — but
-        amortises candidate materialisation over the cohort: the
-        replica-deficit heap is drained **once**, stale rows are filtered
-        **once**, and each host walks a shared seq-ordered candidate array
-        instead of re-popping and re-queuing O(log n) heap rows.
-
-        The one-pass walk requires the regime where replica placement is
-        the whole story: no affinity dependents, no quiesced uids, no
-        lifetime-bearing attributes, reservoir hosts, a positive assignment
-        limit.  Outside it the method transparently falls back to the
-        sequential loop (still correct, just not batched).  Within it, when
-        additionally every host cache is disjoint from the candidate set,
-        no host already owns a candidate and the limit is one new datum per
-        sync — the scale-grid regime — the per-host walk itself collapses
-        into a numpy prefix-sum fill over the candidate capacities
-        (:func:`numpy.searchsorted` over the capacity cumsum assigns every
-        host its candidate in O(cohort · log candidates) C-level work).
-
-        ``max_new`` may be a per-host sequence (``None`` entries take the
-        scheduler default) — the fabric router's batched scatter needs this
-        because its rotating-remainder budget split gives cohort neighbours
-        different per-shard limits.  A uniform sequence collapses to the
-        scalar fast paths; a mixed one walks the shared candidate array
-        with each host's own limit.
-        """
-        per_host: Optional[List[int]] = None
-        if max_new is None or isinstance(max_new, int):
-            limit = self.max_data_schedule if max_new is None else int(max_new)
-            limits: Optional[List[int]] = None
-        else:
-            per_host = [self.max_data_schedule if m is None else int(m)
-                        for m in max_new]
-            if per_host and min(per_host) == max(per_host):
-                # Uniform budgets collapse to the scalar fast paths.
-                limit, limits = per_host[0], None
-            else:
-                limit, limits = max(per_host, default=0), per_host
-        if (self._affinity_dependents or self._quiesced
-                or self._lifetime_count or not reservoir or limit <= 0):
-            return [
-                self.compute_schedule(
-                    host, set(cached), reservoir=reservoir,
-                    max_new=max_new if per_host is None else per_host[k])
-                for k, (host, cached)
-                in enumerate(zip(host_names, cached_uids_per_host))
-            ]
-
-        theta = self._entries
-        deficit_set = self._replica_deficit
-        heap = self._deficit_heap
-
-        # Candidate rows are drained from the deficit heap *lazily*: only
-        # the prefix the cohort actually touches is materialised (heap pops
-        # are ascending in (seq, uid), so ``drained`` stays sorted), and
-        # the whole batch shares it — draining the entire deficit per call
-        # would cost O(|deficit|) even when the cohort assigns a handful.
-        # ``pop_live`` applies the exact stale filter the sequential walk
-        # applies: rows whose uid left the deficit and rows from a
-        # previous incarnation of a re-registered uid are dropped;
-        # duplicate live rows (a uid that left and re-entered the deficit)
-        # are kept — the sequential walk examines each of them.
-        drained: List[Tuple[int, str]] = []
-
-        def pop_live() -> Optional[Tuple[int, str]]:
-            while heap:
-                row = heap[0]
-                if row[1] not in deficit_set or theta[row[1]].seq != row[0]:
-                    heapq.heappop(heap)
-                    continue
-                return heapq.heappop(heap)
-            return None
-
-        now = self.env.now
-        n_hosts = len(host_names)
-        results: List[SyncResult] = []
-
-        # -- numpy prefix-sum fill: the limit==1 disjoint regime -----------
-        # Materialise candidates until their combined capacity can serve
-        # the whole cohort (each host takes at most one), then check the
-        # prefix is disjoint from every host's cache and current holdings.
-        vectorized = False
-        caps_list: List[int] = []
-        if (_np is not None and limit == 1 and limits is None
-                and len(set(host_names)) == n_hosts):
-            total_capacity = 0
-            while total_capacity < n_hosts:
-                row = pop_live()
-                if row is None:
-                    break
-                drained.append(row)
-                entry = theta[row[1]]
-                attr = entry.attribute
-                cap = (n_hosts if attr.replicate_to_all
-                       else attr.replica - len(entry.owners))
-                caps_list.append(cap)
-                total_capacity += cap
-            cand_uids = {uid for _seq, uid in drained}
-            if len(cand_uids) == len(drained):   # no duplicate live rows
-                vectorized = True
-                for host, cached in zip(host_names, cached_uids_per_host):
-                    owned = self._owner_index.get(host)
-                    if not cand_uids.isdisjoint(cached) or (
-                            owned and not cand_uids.isdisjoint(owned)):
-                        vectorized = False
-                        break
-
-        if vectorized:
-            n_rows = len(drained)
-            if n_rows:
-                ends = _np.cumsum(_np.asarray(caps_list, dtype=_np.int64))
-                # Host k takes the first candidate whose cumulative capacity
-                # exceeds k — exactly the sequential first-fit order, because
-                # each host always assigns the first still-alive candidate.
-                pos = _np.searchsorted(ends, _np.arange(n_hosts),
-                                       side="right").tolist()
-            else:
-                pos = [0] * n_hosts
-            # Per-candidate constants hoisted out of the per-host loop
-            # (``ScheduledEntry.uid`` and ``replicate_to_all`` are derived
-            # attributes — at one assignment per host they would be the
-            # loop's hottest lookups).
-            rows = []
-            for _seq, uid in drained:
-                entry = theta[uid]
-                attr = entry.attribute
-                rows.append((uid, entry, entry.owners,
-                             attr.replicate_to_all, attr.replica))
-            owner_index = self._owner_index
-            host_caches = self._host_caches
-            hook = self._mutation_hook
-            for k, host in enumerate(host_names):
-                cached = cached_uids_per_host[k]
-                psi: Dict[str, ScheduledEntry] = {}
-                if cached:
-                    ordered = sorted(cached)
-                    for uid in ordered:
-                        cached_entry = theta.get(uid)
-                        if cached_entry is None:
-                            continue
-                        psi[uid] = cached_entry
-                        self._add_owner(cached_entry, host)
-                    to_delete = [uid for uid in ordered if uid not in psi]
-                else:
-                    to_delete = []
-                j = pos[k]
-                if j < n_rows:
-                    uid, entry, owners, rta, replica = rows[j]
-                    # One candidate examined per served host: every earlier
-                    # candidate was exhausted by the hosts before this one,
-                    # and the sequential stale filter skips dead rows
-                    # without examining them.
-                    self.entries_examined += 1
-                    psi[uid] = entry
-                    # ``_add_owner``, inlined: the vectorized guard proved
-                    # *host* owns no candidate yet, and deficit rows carry
-                    # no affinity — so add the owner links, retire the
-                    # candidate from the deficit once its replica count
-                    # fills, and fire the mutation hook, exactly as the
-                    # sequential walk would.
-                    owners.add(host)
-                    owned = owner_index.get(host)
-                    if owned is None:
-                        owner_index[host] = {uid}
-                    else:
-                        owned.add(uid)
-                    if not rta and len(owners) >= replica:
-                        deficit_set.discard(uid)
-                    if hook is not None:
-                        hook(uid)
-                    self.assignments += 1
-                    new_uids = [uid]
-                else:
-                    new_uids = []
-                host_caches[host] = set(psi)
-                results.append(SyncResult(
-                    host_name=host,
-                    assigned=[(e.data, e.attribute) for e in psi.values()],  # detlint: ignore[DET004] — Ψ insertion order is sorted Δk then seq-walk order, both deterministic
-                    to_delete=to_delete, to_download=new_uids, time=now))
-        else:
-            first_alive = 0
-            # ``cached`` is only read (membership + iteration), never
-            # mutated — no defensive copy needed on this hot path.
-            for k, (host, cached) in enumerate(
-                    zip(host_names, cached_uids_per_host)):
-                limit_k = limit if limits is None else limits[k]
-                psi = {}
-                for uid in sorted(cached):
-                    entry = theta.get(uid)
-                    if entry is None:
-                        continue
-                    psi[uid] = entry
-                    self._add_owner(entry, host)
-                new_uids = []
-                # Candidates only die during a batch (nothing re-enters the
-                # deficit in this regime), so the leading-dead prefix is
-                # shared by every later host.
-                while first_alive < len(drained) \
-                        and drained[first_alive][1] not in deficit_set:
-                    first_alive += 1
-                j = first_alive
-                while len(new_uids) < limit_k:
-                    if j >= len(drained):
-                        row = pop_live()
-                        if row is None:
-                            break
-                        drained.append(row)
-                    uid = drained[j][1]
-                    j += 1
-                    if uid not in deficit_set:
-                        continue
-                    entry = theta[uid]
-                    self.entries_examined += 1
-                    if uid in psi or uid in cached:
-                        continue
-                    # Deficit membership == assignable by the replica rule.
-                    psi[uid] = entry
-                    self._add_owner(entry, host)
-                    new_uids.append(uid)
-                    self.assignments += 1
-                results.append(
-                    self._batch_result(host, cached, psi, new_uids, now))
-
-        # Re-queue one row per drained candidate still in deficit —
-        # identical live-row heap content to the sequential per-host
-        # requeue (exhausted candidates are dropped there too).
-        for row in drained:
-            if row[1] in deficit_set:
-                heapq.heappush(heap, row)
-        return results
-
-    def synchronize_batch(self, host_names: Iterable[str],
-                          cached_uids_per_host: Iterable[Set[str]],
-                          reservoir: bool = True,
-                          max_new: Optional[Union[int, Sequence[Optional[int]]]] = None):
-        """Generator: one batched synchronisation RPC for a host cohort.
-
-        ``max_new`` may be a per-host sequence (see
-        :meth:`compute_schedule_batch`) — the fabric router's batched
-        scatter sends each shard the cohort's rotated budget split.
-
-        Counts one heartbeat and one sync per host, and pays the same
-        *total* statement cost as the per-host calls
-        (``sync_cost_statements`` × cohort size) on a single connection —
-        batching saves the per-call connection setup and the N executor
-        round-trips, which is the point of the cohort scatter path.
-        """
-        hosts = list(host_names)
-        caches = [set(cached) for cached in cached_uids_per_host]
-        self.sync_count += len(hosts)
-        if self.failure_detector is not None:
-            for host in hosts:
-                self.failure_detector.heartbeat(host)
-        if self.database is not None:
-            results = yield from self.database.execute(
-                lambda: self.compute_schedule_batch(
-                    hosts, caches, reservoir=reservoir, max_new=max_new),
-                statements=self.sync_cost_statements * max(1, len(hosts)))
-        else:
-            yield self.env.timeout(0.0)
-            results = self.compute_schedule_batch(
-                hosts, caches, reservoir=reservoir, max_new=max_new)
-        return results
 
     def heartbeat(self, host_name: str) -> bool:
         """Record a liveness heartbeat from a volatile host.

@@ -1,10 +1,8 @@
-"""Host cohorts and the scale-grid-100k harness.
+"""Host cohorts and the scale-grid-100k/300k harnesses.
 
-The perf claims of the cohort-batched scale path only hold if the batching
-is *transparent*: the same simulated quantities must come out whichever
-scheduler/allocator combination runs underneath.  These tests pin the
-cohort bookkeeping itself and that end-to-end equivalence on a reduced
-grid (the CI ``kernel-smoke`` job repeats it at 10k hosts).
+These tests pin the cohort bookkeeping itself and the end-to-end
+invariants of a reduced grid (the CI ``kernel-smoke`` job runs a 10k-host
+grid twice and byte-compares the two outputs).
 """
 
 from types import SimpleNamespace
@@ -128,39 +126,14 @@ class TestCohortSync:
 
 
 # ---------------------------------------------------------------------------
-# scale-grid-100k (reduced): identical results whatever runs underneath
+# scale-grid-100k / 300k (reduced)
 # ---------------------------------------------------------------------------
 
 _SMALL = dict(n_hosts=1000, n_data=200, cohort_size=250, sync_rounds=1,
               heartbeat_duration_s=5.0)
 
-#: wall-clock-derived keys plus the echoed perf knobs themselves
-#: (``placement`` is only echoed by scale-grid-300k, where it is an
-#: ordinary parameter; on the 100k scenario it rides **perf unseen).
-_VOLATILE = {"wall_s", "setup_wall_s", "run_wall_s", "events_per_sec",
-             "scheduler", "allocator", "placement"}
-
-
-def _simulated(results):
-    return {k: v for k, v in results.items() if k not in _VOLATILE}
-
 
 class TestScaleGrid100k:
-    def test_scheduler_and_allocator_do_not_change_the_simulation(self):
-        fast = run_scenario("scale-grid-100k", **_SMALL)
-        reference = run_scenario("scale-grid-100k", scheduler="heap",
-                                 allocator="incremental", **_SMALL)
-        assert fast["scheduler"] == "calendar"
-        assert fast["allocator"] == "vector"
-        assert reference["scheduler"] == "heap"
-        assert _simulated(fast) == _simulated(reference)
-
-    def test_oracle_certifies_the_reduced_grid(self):
-        certified = run_scenario("scale-grid-100k", scheduler="oracle",
-                                 **_SMALL)
-        fast = run_scenario("scale-grid-100k", **_SMALL)
-        assert _simulated(certified) == _simulated(fast)
-
     def test_reduced_grid_invariants(self):
         results = run_scenario("scale-grid-100k", **_SMALL)
         assert results["n_hosts"] == 1000
@@ -176,61 +149,27 @@ class TestScaleGrid100k:
         assert results["sim_time_s"] > 0.0
         assert results["events_per_sec"] > 0.0
 
-    def test_batched_placement_does_not_change_the_simulation(self):
-        """``placement=batch`` evaluates each cohort round with one
-        ``compute_schedule_batch`` call; every simulated quantity must
-        match the per-host default, and the knob must stay invisible in
-        the result echo (it rides **perf, not the spec)."""
-        default = run_scenario("scale-grid-100k", **_SMALL)
-        batched = run_scenario("scale-grid-100k", placement="batch", **_SMALL)
-        assert "placement" not in batched
-        assert _simulated(batched) == _simulated(default)
-
-    def test_batch_and_array_compose_transparently(self):
-        # The full fast stack (batch placement + array calendar) against
-        # the stock defaults: still the same simulation.
-        default = run_scenario("scale-grid-100k", **_SMALL)
-        fast = run_scenario("scale-grid-100k", placement="batch",
-                            scheduler="array", **_SMALL)
-        assert _simulated(fast) == _simulated(default)
-
     def test_unknown_placement_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown placement"):
-            run_scenario("scale-grid-100k", placement="turbo", **_SMALL)
+        # Placement is always per-host compute_schedule; the cohort tiers
+        # take no placement parameter.
+        for scenario in ("scale-grid-100k", "scale-grid-300k"):
+            with pytest.raises(ValueError, match="no parameter 'placement'"):
+                run_scenario(scenario, placement="host", **_SMALL)
 
     def test_unknown_perf_knob_is_rejected(self):
-        # scale-grid takes perf knobs through **perf (so its spec echo —
-        # and the 21 pre-existing scenarios' output bytes — stay stable);
-        # the validation still catches typos.
-        with pytest.raises(ValueError, match="unknown parameters"):
+        # No scale harness takes an event-queue or allocator knob.
+        with pytest.raises(ValueError, match="no parameter 'scheduler'"):
+            run_scenario("scale-grid-100k", scheduler="heap", **_SMALL)
+        with pytest.raises(ValueError, match="no parameter 'allocator'"):
+            run_scenario("scale-grid-300k", allocator="incremental",
+                         **_SMALL)
+        with pytest.raises(ValueError, match="no parameter 'turbo'"):
             run_scenario("scale-grid", n_hosts=50, n_data=20, turbo=True)
-        # The 100k scenario now routes perf knobs (``placement``) through
-        # **perf too, so its spec echo keeps the pre-batching bytes; its
-        # harness validates the leftovers itself.
-        with pytest.raises(ValueError, match="unknown parameters"):
-            run_scenario("scale-grid-100k", turbo=True, **_SMALL)
+        with pytest.raises(ValueError, match="no parameter 'scheduler'"):
+            run_scenario("sync-storm", n_workers=10, scheduler="heap")
 
-
-# ---------------------------------------------------------------------------
-# scale-grid-300k (reduced): the fast defaults are transparent
-# ---------------------------------------------------------------------------
 
 class TestScaleGrid300k:
-    def test_fast_defaults_match_the_reference_path(self):
-        """The 300k tier is born with the fast stack as its defaults
-        (array calendar, vectorized allocator, batched placement); a
-        reduced grid must still simulate identically to the reference
-        heap/incremental/per-host path."""
-        fast = run_scenario("scale-grid-300k", **_SMALL)
-        reference = run_scenario("scale-grid-300k", scheduler="heap",
-                                 allocator="incremental", placement="host",
-                                 **_SMALL)
-        assert fast["scheduler"] == "array"
-        assert fast["allocator"] == "vector"
-        assert fast["placement"] == "batch"
-        assert reference["placement"] == "host"
-        assert _simulated(fast) == _simulated(reference)
-
     def test_reduced_grid_reports_its_own_scenario(self):
         results = run_scenario("scale-grid-300k", **_SMALL)
         assert results["scenario"] == "scale-grid-300k"
