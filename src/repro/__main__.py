@@ -5,23 +5,22 @@ Subcommands:
 * ``list`` — every registered scenario with its paper reference.
 * ``describe NAME`` — parameters, defaults and provenance of one scenario.
 * ``run NAME [--set k=v ...] [--seed N] [--out results.json]`` — run one
-  scenario; the JSON written by ``--out`` is deterministic (same seed →
-  byte-identical bytes).  Every run prints a ``# stats:`` perf line
-  (wall clock, and when the scenario reports them, ``processed_events``
-  and ``events_per_sec``) to stderr; ``--profile`` additionally runs the
-  scenario under cProfile and prints the top ``--profile-limit``
-  functions to stderr, ordered by ``--profile-sort`` (cumulative or
-  tottime); ``--profile-out FILE`` (implies ``--profile``) writes a JSON
-  report splitting the profiled time by phase — placement (Algorithm 1),
-  allocation (flow max-min fair shares), kernel dispatch (event loop +
-  scheduler) and other — plus the top functions.
+  scenario as a one-point sweep (the same executor as ``sweep``); the JSON
+  written by ``--out`` is deterministic (same seed → byte-identical
+  bytes).  ``--cache-dir DIR`` reuses/stores the run in a result cache.
+  Every executed run prints a ``# stats:`` perf line (wall clock, and
+  when the scenario reports them, ``processed_events`` and
+  ``events_per_sec``) to stderr; a scenario that raises prints its
+  traceback and one ``error:`` line and exits 1.  To profile a run, use
+  the standard library: ``python -m cProfile -s cumulative -m repro run
+  NAME``.
 * ``sweep NAME --grid k=v1,v2 [--grid ...] [--set k=v ...] [--out f.json]``
   — the cartesian product of one or more parameter axes, executed by the
   parallel sweep engine: ``--jobs N`` runs points on a process pool
   (byte-identical output to ``--jobs 1``), a content-addressed result cache
   (on by default; ``--cache-dir``/``--no-cache``) skips already-computed
-  points, ``--retries K`` re-runs crashing points, and a point that still
-  fails becomes a structured failure entry in the JSON (exit code 1).
+  points, and a point that fails becomes a structured failure entry in the
+  JSON (exit code 1).
 * ``cache ls|stats|clear`` — inspect or empty the sweep result cache.
 * ``lint [PATH] [--format json] [--rules IDS] [--baseline f.json]`` —
   run detlint, the determinism & architecture linter (``repro.analysis``)
@@ -40,7 +39,7 @@ Examples::
     python -m repro run fig4 --out fig4.json
     python -m repro run distribution --set protocol=bittorrent --set size_mb=100
     python -m repro sweep fig4 --grid replica=3,5 --grid crash_interval_s=10,20
-    python -m repro sweep fig3a --grid "sizes_mb=[[10],[100]]" --jobs 4 --retries 1
+    python -m repro sweep fig3a --grid "sizes_mb=[[10],[100]]" --jobs 4
     python -m repro cache stats
 """
 
@@ -50,18 +49,15 @@ import argparse
 import inspect
 import json
 import sys
-import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.cli import add_lint_arguments, run_lint
 from repro.bench.reporting import format_table
 from repro.experiments import (
     ResultCache,
-    ScenarioSpec,
     UnknownScenarioError,
     default_registry,
     execute_sweep,
-    run_spec,
 )
 from repro.experiments.cache import default_cache_dir
 
@@ -190,20 +186,6 @@ def _sweep_cache(args: argparse.Namespace) -> Optional[ResultCache]:
     return ResultCache(args.cache_dir)
 
 
-def _run_cache(args: argparse.Namespace) -> Optional[ResultCache]:
-    """The result cache for ``run``: off unless ``--cache``/``--cache-dir``.
-
-    A single ``run`` is usually *meant* to execute (its summary shows live,
-    volatile quantities like wall-clock), so caching is opt-in there —
-    unlike ``sweep``, whose product is the deterministic merged JSON.
-    """
-    if args.no_cache:
-        return None
-    if args.cache or args.cache_dir is not None:
-        return ResultCache(args.cache_dir)
-    return None
-
-
 def _progress_printer(args: argparse.Namespace):
     """Progress lines go to stderr so ``--out -`` JSON keeps stdout clean."""
     if args.quiet:
@@ -231,7 +213,7 @@ def _sum_key(results: object, key: str) -> Optional[float]:
 
 
 def _print_run_stats(results: object, wall_s: float) -> None:
-    """The perf line every run reports: event count and throughput.
+    """The perf line every executed run reports: events and throughput.
 
     Goes to stderr so ``--out -`` JSON keeps stdout clean; scenarios whose
     results carry no ``processed_events`` report only the wall clock.
@@ -244,126 +226,28 @@ def _print_run_stats(results: object, wall_s: float) -> None:
     print(line, file=sys.stderr, flush=True)
 
 
-# Per-phase attribution of profile samples: a function belongs to the
-# phase of the *module* it lives in.  ``tottime`` sums are disjoint across
-# functions, so the per-phase split always adds up to the profiled total —
-# no double counting, unlike cumulative times.
-_PROFILE_PHASES = (
-    ("placement", ("/services/data_scheduler",)),
-    ("allocation", ("/net/allocation", "/net/flows")),
-    ("kernel_dispatch", ("/sim/kernel", "/sim/scheduler")),
-)
-
-
-def _profile_phase(filename: str) -> str:
-    normalised = filename.replace("\\", "/")
-    for phase, markers in _PROFILE_PHASES:
-        if any(marker in normalised for marker in markers):
-            return phase
-    return "other"
-
-
-def _profile_report(profiler, sort: str, limit: int,
-                    wall_s: float) -> Dict[str, object]:
-    """The ``--profile-out`` JSON: per-phase split plus the top functions."""
-    import pstats
-
-    stats = pstats.Stats(profiler)
-    phases: Dict[str, Dict[str, float]] = {
-        phase: {"tottime_s": 0.0, "calls": 0}
-        for phase, _markers in _PROFILE_PHASES}
-    phases["other"] = {"tottime_s": 0.0, "calls": 0}
-    rows = []
-    for (filename, line, name), (cc, nc, tt, ct, _callers) \
-            in stats.stats.items():  # type: ignore[attr-defined]
-        phase = _profile_phase(filename)
-        phases[phase]["tottime_s"] += tt
-        phases[phase]["calls"] += nc
-        rows.append({"function": name, "file": filename, "line": line,
-                     "phase": phase, "ncalls": nc, "tottime_s": tt,
-                     "cumtime_s": ct})
-    key = "tottime_s" if sort == "tottime" else "cumtime_s"
-    rows.sort(key=lambda row: (-row[key], row["file"], row["line"]))
-    total = sum(entry["tottime_s"] for entry in phases.values())
-    for entry in phases.values():
-        entry["tottime_s"] = round(entry["tottime_s"], 6)
-        entry["share"] = round(entry["tottime_s"] / total, 4) if total else 0.0
-    return {
-        "sort": sort,
-        "wall_s": round(wall_s, 6),
-        "profiled_s": round(total, 6),
-        "phases": phases,
-        "top": [dict(row, tottime_s=round(row["tottime_s"], 6),
-                     cumtime_s=round(row["cumtime_s"], 6))
-                for row in rows[:limit]],
-    }
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    params = _collect_params(args.set, args.seed)
-    cache = _run_cache(args)
-    if args.profile_out is not None:
-        args.profile = True      # --profile-out implies profiling
-    if args.profile and not (cache is None and args.retries == 0):
-        print("error: --profile runs the scenario in-process; it cannot be "
-              "combined with --cache/--cache-dir/--retries", file=sys.stderr)
-        return 2
-    if cache is None and args.retries == 0:
-        # The plain path: run in-process, keep the raw results (including
-        # volatile keys like wall-clock) for the summary.
-        spec = ScenarioSpec(scenario=args.scenario, params=params)
-        profiler = None
-        if args.profile:
-            import cProfile
-            profiler = cProfile.Profile()
-        wall_start = time.perf_counter()
-        if profiler is not None:
-            profiler.enable()
-            try:
-                result = run_spec(spec)
-            finally:
-                profiler.disable()
-        else:
-            result = run_spec(spec)
-        wall_s = time.perf_counter() - wall_start
-        if profiler is not None:
-            import pstats
-            stats = pstats.Stats(profiler, stream=sys.stderr)
-            stats.sort_stats(args.profile_sort).print_stats(args.profile_limit)
-            if args.profile_out is not None:
-                report = _profile_report(profiler, args.profile_sort,
-                                         args.profile_limit, wall_s)
-                report["scenario"] = args.scenario
-                _write_output(json.dumps(report, indent=2, sort_keys=True)
-                              + "\n", args.profile_out)
-        if not args.quiet:
-            _print_run_stats(result.results, wall_s)
-        if args.out is not None:
-            _write_output(result.to_json(), args.out)
-        # With '--out -' the JSON owns stdout; the summary would corrupt it.
-        if not args.quiet and args.out != "-":
-            ref = (f" [{result.definition.paper_ref}]"
-                   if result.definition.paper_ref else "")
-            print(f"# scenario {result.spec.scenario}{ref}"
-                  + (f" -> {args.out}" if args.out not in (None, "-") else ""))
-            print(_summarise(result.results))
-        return 0
+    """One scenario run: a one-point sweep, cached only with ``--cache-dir``.
 
-    # Cache and/or retries requested: a run is a one-point sweep.
-    outcome = execute_sweep(args.scenario, {}, base_params=params,
-                            cache=cache, retries=args.retries,
-                            progress=_progress_printer(args))
+    A single ``run`` is usually *meant* to execute, so caching is opt-in
+    here — unlike ``sweep``, whose product is the merged JSON.
+    """
+    params = _collect_params(args.set, args.seed)
+    cache = ResultCache(args.cache_dir) if args.cache_dir is not None else None
+    outcome = execute_sweep(args.scenario, {}, base_params=params, cache=cache)
     point = outcome.points[0]
     if not point.ok:
         failure = point.failure
         print(failure.traceback, file=sys.stderr, end="")
-        print(f"error: scenario {args.scenario!r} failed after "
-              f"{failure.attempts} attempt{'s' if failure.attempts != 1 else ''}"
-              f": {failure.error}: {failure.message}", file=sys.stderr)
+        print(f"error: scenario {args.scenario!r} failed: "
+              f"{failure.error}: {failure.message}", file=sys.stderr)
         return 1
-    text = json.dumps(point.run, indent=2, sort_keys=True) + "\n"
+    if not args.quiet and not point.cached:
+        _print_run_stats(point.run["results"], point.elapsed_s)
     if args.out is not None:
-        _write_output(text, args.out)
+        _write_output(json.dumps(point.run, indent=2, sort_keys=True) + "\n",
+                      args.out)
+    # With '--out -' the JSON owns stdout; the summary would corrupt it.
     if not args.quiet and args.out != "-":
         ref = f" [{outcome.paper_ref}]" if outcome.paper_ref else ""
         cached = " (cached)" if point.cached else ""
@@ -385,8 +269,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = _collect_params(args.set, args.seed)
     outcome = execute_sweep(
         args.scenario, grid, base_params=base, jobs=args.jobs,
-        cache=_sweep_cache(args), retries=args.retries,
-        progress=_progress_printer(args),
+        cache=_sweep_cache(args), progress=_progress_printer(args),
         derive_seeds=args.seed_per_point)
     text = outcome.to_json()
     if args.out is not None:
@@ -453,31 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the scenario's RNG seed")
     p_run.add_argument("--out", metavar="FILE",
                        help="write deterministic JSON results ('-' = stdout)")
-    p_run.add_argument("--profile", action="store_true",
-                       help="profile the run with cProfile and print the top "
-                            "functions by cumulative time to stderr")
-    p_run.add_argument("--profile-limit", type=int, default=25, metavar="N",
-                       help="number of profile rows to print (default 25)")
-    p_run.add_argument("--profile-sort", choices=("cumulative", "tottime"),
-                       default="cumulative",
-                       help="profile ordering for the stderr table and the "
-                            "--profile-out top list (default cumulative)")
-    p_run.add_argument("--profile-out", metavar="FILE", default=None,
-                       help="write a JSON profile report (implies --profile): "
-                            "per-phase tottime split — placement / allocation "
-                            "/ kernel_dispatch / other — plus the top "
-                            "--profile-limit functions ('-' = stdout)")
     p_run.add_argument("--quiet", action="store_true",
                        help="suppress the human-readable summary")
-    p_run.add_argument("--retries", type=int, default=0, metavar="K",
-                       help="re-run a crashing scenario up to K extra times")
-    p_run.add_argument("--cache", action="store_true",
-                       help="reuse/store this run in the result cache")
     p_run.add_argument("--cache-dir", metavar="DIR", default=None,
-                       help=f"result cache directory (implies --cache; "
-                            f"default {default_cache_dir()})")
-    p_run.add_argument("--no-cache", action="store_true",
-                       help="never touch the result cache")
+                       help="reuse/store this run in the result cache "
+                            "under DIR (default: no cache)")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep",
@@ -496,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="run points on an N-process pool "
                               "(output byte-identical to --jobs 1)")
-    p_sweep.add_argument("--retries", type=int, default=0, metavar="K",
-                         help="re-run a crashing point up to K extra times")
     p_sweep.add_argument("--cache-dir", metavar="DIR", default=None,
                          help=f"result cache directory "
                               f"(default {default_cache_dir()})")
@@ -534,9 +395,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except ValueError as exc:
         # Malformed --set/--grid values, unknown or missing parameter names:
-        # a clean one-line diagnostic, never a traceback.  (Deliberately not
-        # TypeError — that would misclassify genuine scenario crashes on the
-        # plain `run` path as malformed CLI input.)
+        # a clean one-line diagnostic, never a traceback.  Specs resolve
+        # before anything runs; a scenario that raises becomes a failure
+        # entry (exit 1), never lands here.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

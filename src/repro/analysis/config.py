@@ -76,16 +76,16 @@ LAYER_EXEMPTIONS: Dict[Tuple[str, str], str] = {
 #: Keyed by module; ``repro.sim`` re-exports the union.
 SIM_IMPORT_SURFACE: Dict[str, FrozenSet[str]] = {
     "repro.sim": frozenset({
-        "AllOf", "AnyOf", "Container", "Environment", "Event", "Interrupt",
-        "PriorityStore", "Process", "RandomStreams", "Resource",
-        "SimulationError", "Store", "Timeout", "Timer", "derive_seed",
+        "AllOf", "AnyOf", "Environment", "Event", "Interrupt", "Process",
+        "RandomStreams", "Resource", "SimulationError", "Timeout", "Timer",
+        "derive_seed",
     }),
     "repro.sim.kernel": frozenset({
         "AllOf", "AnyOf", "Environment", "Event", "Interrupt", "Process",
         "SimulationError", "Timeout", "Timer",
     }),
     "repro.sim.resources": frozenset({
-        "Container", "PriorityStore", "Request", "Resource", "Store",
+        "Request", "Resource",
     }),
     "repro.sim.rng": frozenset({"RandomStreams", "derive_seed"}),
     # The event queue is a sim-internal implementation detail: Environment

@@ -5,18 +5,16 @@ ROADMAP's north star is running them "as fast as the hardware allows".
 This harness measures the sweep executor itself on a fixed Figure-3-style
 ``distribution`` grid, three ways:
 
-* **serial** — ``jobs=1``, no cache: the baseline the old in-process loop
-  would have produced;
+* **serial** — ``jobs=1``, no cache: the baseline;
 * **parallel** — ``jobs=N``, no cache: the process-pool path, whose merged
   JSON must be byte-identical to serial (asserted, and recorded as
   ``identical``);
 * **warm** — the same sweep against a pre-populated result cache: every
   point must be a hit and nothing may execute.
 
-``benchmarks/test_scale_grid.py`` asserts the invariants and records the
-measured walls as the ``sweep-parallel`` BENCH trajectory point.  The
-recorded ``cpus`` field is essential context for ``speedup``: a process
-pool cannot beat serial on a single effective core, while the warm-cache
+``benchmarks/test_scale_grid.py`` asserts the invariants.  The reported
+``cpus`` field is essential context for ``speedup``: a process pool
+cannot beat serial on a single effective core, while the warm-cache
 speedup is hardware-independent.
 """
 

@@ -20,10 +20,10 @@ Layers:
 * :mod:`repro.experiments.runner` — resolve a spec against the registry, run
   it, and shape the outcome into deterministic, JSON-serialisable results
   (same seed → byte-identical output).
-* :mod:`repro.experiments.executor` — the sweep engine: process-pool
-  execution (``--jobs N`` byte-identical to serial), content-derived
-  per-point seeds, crash isolation with structured failure entries and
-  retries, progress reporting.
+* :mod:`repro.experiments.executor` — the sweep engine, the one way a
+  scenario runs: process-pool execution (``--jobs N`` byte-identical to
+  serial), content-derived per-point seeds, crash isolation with
+  structured failure entries, progress reporting.
 * :mod:`repro.experiments.cache` — the content-addressed result cache
   (scenario + resolved params + code-version salt) that lets a re-run
   sweep skip every already-computed point.

@@ -1,9 +1,10 @@
 """Parallel, cached, crash-isolated execution of scenario sweeps.
 
 The paper's evaluation is a large grid of *independent* simulation runs
-(Tables 1-3, Figures 3a-6 each sweep a parameter axis), and the serial
-``python -m repro sweep`` loop left a multicore box idle.  This module is
-the sweep engine behind ``sweep --jobs N``:
+(Tables 1-3, Figures 3a-6 each sweep a parameter axis).  This module is
+the one way a scenario runs: ``python -m repro sweep``, ``python -m repro
+run`` (a one-point sweep) and :func:`repro.experiments.runner.run_sweep`
+all go through :func:`execute_sweep`:
 
 * **Determinism** — every point's spec is resolved *in the parent* (so
   unknown-parameter errors surface immediately and cleanly), per-point
@@ -17,9 +18,9 @@ the sweep engine behind ``sweep --jobs N``:
   finished sweep completes without executing anything.
 * **Crash isolation** — a point that raises is captured *inside*
   :func:`_execute_point` (in the worker) and recorded as a structured
-  failure entry (exception type, message, traceback, attempt count) instead
-  of tearing down the sweep; ``retries=K`` re-executes a failing point up
-  to K extra times.  Failed points are never cached.
+  failure entry (exception type, message, traceback) instead of tearing
+  down the sweep.  A scenario run is deterministic, so a failing point is
+  not re-run: it would fail the same way.  Failed points are never cached.
 * **Progress** — an optional callback receives one human line per settled
   point (``[12/48] fig4 replica=3 … 4.1s``, ``… cached``, ``… FAILED``).
 
@@ -93,9 +94,10 @@ def _execute_point(scenario: str, params: Dict[str, object],
     """Run one resolved point; never raises.
 
     Returns ``("ok", run_document, elapsed_s)`` or ``("error",
-    failure_document, elapsed_s)`` — elapsed is measured around the actual
-    execution (in the worker, for pooled runs), so progress lines report
-    run time, not queue wait.  This is the unit of work shipped to pool
+    failure_document, elapsed_s)`` — elapsed is measured around the
+    scenario run itself (in the worker, for pooled runs), so progress lines
+    and ``run``'s ``# stats:`` line report run time, not queue wait or
+    serialisation.  This is the unit of work shipped to pool
     workers *and* the unit run inline for ``jobs=1`` — one code path, one
     output format, which is what makes the serial/parallel byte-identity
     hold (including tracebacks, captured here so their frames do not depend
@@ -107,7 +109,8 @@ def _execute_point(scenario: str, params: Dict[str, object],
     try:
         result = run_spec(ScenarioSpec(scenario=scenario, params=params),
                           registry=registry)
-        return "ok", result.to_dict(), time.perf_counter() - started
+        elapsed_s = time.perf_counter() - started
+        return "ok", result.to_dict(), elapsed_s
     except Exception as exc:
         return "error", {
             "error": type(exc).__name__,
@@ -131,16 +134,15 @@ def _exception_message(exc: BaseException) -> str:
 
 @dataclass
 class PointFailure:
-    """A structured record of one point that kept raising."""
+    """A structured record of one point that raised."""
 
     error: str          # exception type name
     message: str
     traceback: str
-    attempts: int
 
     def to_dict(self) -> Dict[str, object]:
-        return {"attempts": self.attempts, "error": self.error,
-                "message": self.message, "traceback": self.traceback}
+        return {"error": self.error, "message": self.message,
+                "traceback": self.traceback}
 
 
 @dataclass
@@ -176,15 +178,13 @@ class SweepStats:
     """Execution accounting of one sweep."""
 
     points: int = 0
-    executed: int = 0       # points that actually ran (at least one attempt)
+    executed: int = 0       # points that actually ran
     cache_hits: int = 0
     failed: int = 0
-    retries_used: int = 0   # extra attempts beyond the first, across points
 
     def to_dict(self) -> Dict[str, int]:
         return {"cache_hits": self.cache_hits, "executed": self.executed,
-                "failed": self.failed, "points": self.points,
-                "retries_used": self.retries_used}
+                "failed": self.failed, "points": self.points}
 
 
 @dataclass
@@ -248,9 +248,7 @@ class _Progress:
             tail = f"{outcome.elapsed_s:.1f}s"
         else:
             failure = outcome.failure
-            tail = (f"FAILED after {failure.attempts} attempt"
-                    f"{'s' if failure.attempts != 1 else ''} "
-                    f"({failure.error}: {failure.message})")
+            tail = f"FAILED ({failure.error}: {failure.message})"
         self.emit(f"{prefix} … {tail}")
 
 
@@ -267,96 +265,53 @@ def _settle(outcome: PointOutcome, outcomes: Dict[int, PointOutcome],
     progress.report(outcome)
 
 
-def _attempt_point(index: int, spec: ScenarioSpec, retries: int,
-                   stats: SweepStats,
-                   registry: Optional[ScenarioRegistry] = None,
-                   first_attempt: int = 1) -> PointOutcome:
-    """Execute one point in this process until success or retries exhaust.
-
-    ``first_attempt`` > 1 continues the attempt count of executions that
-    already happened elsewhere (the pooled path falls back here when its
-    pool breaks mid-retry).
-    """
-    attempts = first_attempt - 1
-    while True:
-        attempts += 1
-        status, payload, elapsed_s = _execute_point(
-            spec.scenario, dict(spec.params), registry)
-        if status == "ok":
-            return PointOutcome(index=index, spec=spec, run=payload,
-                                elapsed_s=elapsed_s)
-        if attempts > retries:
-            return PointOutcome(
-                index=index, spec=spec,
-                failure=PointFailure(attempts=attempts, **payload),
-                elapsed_s=elapsed_s)
-        stats.retries_used += 1
+def _outcome(index: int, spec: ScenarioSpec, executed: tuple) -> PointOutcome:
+    """Shape one :func:`_execute_point` return value into a point outcome."""
+    status, payload, elapsed_s = executed
+    if status == "ok":
+        return PointOutcome(index=index, spec=spec, run=payload,
+                            elapsed_s=elapsed_s)
+    return PointOutcome(index=index, spec=spec,
+                        failure=PointFailure(**payload), elapsed_s=elapsed_s)
 
 
 def _run_inline(pending: Sequence[int], specs: Sequence[ScenarioSpec],
-                retries: int, outcomes: Dict[int, PointOutcome],
+                outcomes: Dict[int, PointOutcome],
                 stats: SweepStats, cache: Optional[ResultCache],
                 keys: Sequence[Optional[str]], progress: _Progress,
                 registry: Optional[ScenarioRegistry] = None) -> None:
     for index in pending:
-        outcome = _attempt_point(index, specs[index], retries, stats,
-                                 registry)
-        _settle(outcome, outcomes, stats, cache, keys, progress)
+        spec = specs[index]
+        executed = _execute_point(spec.scenario, dict(spec.params), registry)
+        _settle(_outcome(index, spec, executed),
+                outcomes, stats, cache, keys, progress)
 
 
 def _run_pooled(pending: Sequence[int], specs: Sequence[ScenarioSpec],
-                jobs: int, retries: int,
-                outcomes: Dict[int, PointOutcome], stats: SweepStats,
-                cache: Optional[ResultCache], keys: Sequence[Optional[str]],
-                progress: _Progress) -> None:
+                jobs: int, outcomes: Dict[int, PointOutcome],
+                stats: SweepStats, cache: Optional[ResultCache],
+                keys: Sequence[Optional[str]], progress: _Progress) -> None:
     max_workers = min(jobs, len(pending))
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        inflight = {}
-        for index in pending:
-            future = pool.submit(_execute_point, specs[index].scenario,
-                                 dict(specs[index].params))
-            inflight[future] = (index, 1)
+        inflight = {pool.submit(_execute_point, specs[index].scenario,
+                                dict(specs[index].params)): index
+                    for index in pending}
         while inflight:
             done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
             for future in done:
-                index, attempt = inflight.pop(future)
+                index = inflight.pop(future)
                 spec = specs[index]
                 try:
-                    status, payload, elapsed_s = future.result()
+                    executed = future.result()
                 except BaseException:
                     # A worker died hard (signal/OOM): _execute_point catches
                     # ordinary exceptions in-worker, so this future — and
                     # every other in-flight future of the now-broken pool —
                     # raises without its point having completed.  Finish the
-                    # point in-process (same attempt number: the dead attempt
-                    # never produced a result) instead of recording spurious
+                    # point in-process instead of recording spurious
                     # BrokenProcessPool failures for collateral points.
-                    _settle(_attempt_point(index, spec, retries, stats,
-                                           first_attempt=attempt),
-                            outcomes, stats, cache, keys, progress)
-                    continue
-                if status == "ok":
-                    _settle(PointOutcome(index=index, spec=spec, run=payload,
-                                         elapsed_s=elapsed_s),
-                            outcomes, stats, cache, keys, progress)
-                elif attempt <= retries:
-                    stats.retries_used += 1
-                    try:
-                        retry = pool.submit(_execute_point, spec.scenario,
-                                            dict(spec.params))
-                        inflight[retry] = (index, attempt + 1)
-                    except BaseException:
-                        # The pool broke (hard worker death above): finish
-                        # this point's remaining attempts in-process so the
-                        # sweep still ends with structured failure entries.
-                        _settle(_attempt_point(index, spec, retries, stats,
-                                               first_attempt=attempt + 1),
-                                outcomes, stats, cache, keys, progress)
-                else:
-                    _settle(PointOutcome(
-                        index=index, spec=spec,
-                        failure=PointFailure(attempts=attempt, **payload),
-                        elapsed_s=elapsed_s),
+                    executed = _execute_point(spec.scenario, dict(spec.params))
+                _settle(_outcome(index, spec, executed),
                         outcomes, stats, cache, keys, progress)
 
 
@@ -367,16 +322,14 @@ def execute_sweep(
     registry: Optional[ScenarioRegistry] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    retries: int = 0,
     progress: Optional[ProgressFn] = None,
     derive_seeds: bool = False,
 ) -> SweepOutcome:
     """Run the cartesian product of *grid* over scenario *name*.
 
     ``jobs`` > 1 executes points on a process pool; ``cache`` skips points
-    whose content-addressed key already holds a result; ``retries`` re-runs
-    a raising point up to that many extra times; ``derive_seeds`` gives every
-    point a deterministic content-derived seed (see
+    whose content-addressed key already holds a result; ``derive_seeds``
+    gives every point a deterministic content-derived seed (see
     :func:`derive_point_seed`).  Output is byte-identical across ``jobs``
     values and across cache states.
     """
@@ -427,10 +380,10 @@ def execute_sweep(
         use_pool = (jobs > 1 and len(pending) > 1
                     and registry is runner_module.default_registry())
         if use_pool:
-            _run_pooled(pending, specs, jobs, retries, outcomes, stats,
+            _run_pooled(pending, specs, jobs, outcomes, stats,
                         cache, keys, progress_state)
         else:
-            _run_inline(pending, specs, retries, outcomes, stats,
+            _run_inline(pending, specs, outcomes, stats,
                         cache, keys, progress_state, registry)
 
     return SweepOutcome(

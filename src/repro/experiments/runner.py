@@ -4,7 +4,7 @@ The runner is deliberately thin: a scenario's physics lives in its runner
 callable; this module contributes (a) name → definition → fully-resolved
 :class:`~repro.experiments.spec.ScenarioSpec` resolution, (b) deterministic
 serialisation of the outcome (same spec, same seed → byte-identical JSON),
-and (c) cartesian parameter sweeps.
+and (c) :func:`run_sweep`, the library face of the sweep executor.
 
 Serialisation scrubs each definition's ``volatile_keys`` — wall-clock
 timings and non-JSON report objects — recursively from the results, so that
@@ -19,8 +19,14 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from repro.experiments.cache import ResultCache
+from repro.experiments.executor import (
+    ProgressFn,
+    SweepFailure,
+    execute_sweep,
+)
 from repro.experiments.registry import ScenarioDefinition, ScenarioRegistry
-from repro.experiments.spec import ScenarioSpec, expand_grid
+from repro.experiments.spec import ScenarioSpec
 
 __all__ = [
     "ScenarioResult",
@@ -138,43 +144,23 @@ def run_sweep(
     registry: Optional[ScenarioRegistry] = None,
     *,
     jobs: int = 1,
-    cache=None,
-    retries: int = 0,
+    cache: Optional[ResultCache] = None,
     derive_seeds: bool = False,
-    progress=None,
+    progress: Optional[ProgressFn] = None,
 ) -> List[ScenarioResult]:
     """Run the cartesian product of *grid* over scenario *name*.
 
     ``base_params`` applies to every run; each grid combination overrides it.
-    Returns one :class:`ScenarioResult` per combination, in grid order.
-
-    With the defaults this is the original in-process serial path and the
-    returned results carry the runner's *raw* (unscrubbed) output.  Passing
-    ``jobs`` > 1, a :class:`~repro.experiments.cache.ResultCache`,
-    ``retries`` or ``derive_seeds`` routes through the sweep executor
-    (:func:`repro.experiments.executor.execute_sweep`): results then hold
-    the *serialised* (volatile-key-scrubbed) run documents — serialising
-    either form yields byte-identical sweep JSON — and a point that keeps
-    raising aborts with :class:`~repro.experiments.executor.SweepFailure`
-    instead of propagating the bare exception.
+    Returns one :class:`ScenarioResult` per combination, in grid order,
+    holding the *serialised* (volatile-key-scrubbed) results.  The points
+    run through :func:`repro.experiments.executor.execute_sweep` (see it for
+    ``jobs``, ``cache``, ``derive_seeds`` and ``progress``); a point that
+    raises aborts with :class:`~repro.experiments.executor.SweepFailure`.
     """
     registry = registry if registry is not None else default_registry()
-    if jobs <= 1 and cache is None and retries == 0 \
-            and not derive_seeds and progress is None:
-        base = dict(base_params or {})
-        results = []
-        for overrides in expand_grid(grid):
-            params = dict(base)
-            params.update(overrides)
-            results.append(run_spec(ScenarioSpec(scenario=name, params=params),
-                                    registry=registry))
-        return results
-
-    from repro.experiments.executor import SweepFailure, execute_sweep
     outcome = execute_sweep(
         name, grid, base_params=base_params, registry=registry, jobs=jobs,
-        cache=cache, retries=retries, progress=progress,
-        derive_seeds=derive_seeds)
+        cache=cache, progress=progress, derive_seeds=derive_seeds)
     if not outcome.ok:
         failures = outcome.failures()
         first = failures[0].failure
@@ -188,16 +174,3 @@ def run_sweep(
                        definition=definition)
         for point in outcome.points
     ]
-
-
-def sweep_to_dict(name: str, grid: Mapping[str, Sequence[object]],
-                  runs: Sequence[ScenarioResult]) -> Dict[str, object]:
-    """Serialisable form of a sweep: the grid plus every run's spec/results."""
-    return {
-        "scenario": name,
-        "grid": {axis: list(values) for axis, values in sorted(grid.items())},
-        "runs": [run.to_dict() for run in runs],
-    }
-
-
-__all__.append("sweep_to_dict")

@@ -23,8 +23,9 @@ Public API
     Waitable primitives.
 ``Interrupt``
     Exception injected into a process by ``Process.interrupt``.
-``Resource``, ``Store``, ``Container``
-    Shared-resource primitives used by the network and database models.
+``Resource``
+    The counted shared resource (FIFO slots) used by the database,
+    transfer, DHT and gateway models.
 """
 
 from repro.sim.kernel import (
@@ -37,18 +38,16 @@ from repro.sim.kernel import (
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import Container, Resource, Store
+from repro.sim.resources import Resource
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
     "Process",
     "Resource",
     "SimulationError",
-    "Store",
     "Timeout",
 ]

@@ -10,6 +10,17 @@ from repro.net.flows import Network
 from repro.net.host import Host
 
 
+@pytest.fixture(autouse=True)
+def _isolated_result_cache(tmp_path, monkeypatch):
+    """Point the default sweep result cache at this test's own directory.
+
+    A sweep without ``--cache-dir``/``--no-cache`` caches by default; without
+    this, tests would write into (and, when warm, read from) the user's
+    ``~/.cache/repro`` and skip executing the scenario they test.
+    """
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
+
+
 @pytest.fixture
 def env() -> Environment:
     return Environment()

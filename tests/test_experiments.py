@@ -348,41 +348,6 @@ class TestCLI:
         assert first.read_bytes() == second.read_bytes()
         assert json.loads(first.read_text())["spec"]["params"]["seed"] == 11
 
-    def test_profile_out_writes_phase_split(self, tmp_path, capsys):
-        profile_file = tmp_path / "prof.json"
-        code = cli_main(["run", "ftp-alone", "--set", "size_mb=1",
-                         "--set", "n_nodes=2", "--quiet",
-                         "--profile-out", str(profile_file),
-                         "--profile-sort", "tottime"])
-        assert code == 0
-        report = json.loads(profile_file.read_text())
-        assert report["scenario"] == "ftp-alone"
-        assert report["sort"] == "tottime"
-        phases = report["phases"]
-        assert set(phases) == {"placement", "allocation", "kernel_dispatch",
-                               "other"}
-        # tottime is disjoint per function, so the shares partition the
-        # profiled total; a transfer scenario must spend kernel time.
-        assert sum(p["share"] for p in phases.values()) == pytest.approx(
-            1.0, abs=0.01)
-        assert phases["kernel_dispatch"]["calls"] > 0
-        rows = report["top"]
-        assert rows and all({"function", "file", "phase", "tottime_s",
-                             "cumtime_s"} <= set(row) for row in rows)
-        # The top list honours the requested ordering.
-        tottimes = [row["tottime_s"] for row in rows]
-        assert tottimes == sorted(tottimes, reverse=True)
-        # The stderr table reports the same ordering key.
-        assert "tottime" in capsys.readouterr().err
-
-    def test_profile_out_rejected_with_cache(self, tmp_path, capsys):
-        code = cli_main(["run", "ftp-alone", "--cache",
-                         "--cache-dir", str(tmp_path / "cache"),
-                         "--profile-out", str(tmp_path / "p.json"),
-                         "--quiet"])
-        assert code == 2
-        assert "--profile" in capsys.readouterr().err
-
     def test_sweep_writes_grid_and_runs(self, tmp_path, capsys):
         out_file = tmp_path / "sweep.json"
         code = cli_main(["sweep", "ftp-alone", "--grid", "n_nodes=2,4",

@@ -117,10 +117,10 @@ class TestExecutorDeterminism:
         assert [p.spec.params["n_nodes"] for p in parallel.points] == [2, 3]
 
     def test_matches_legacy_serial_sweep_document(self):
-        from repro.experiments.runner import sweep_to_dict
-        legacy = sweep_to_dict(
-            "ftp-alone", GRID,
-            run_sweep("ftp-alone", GRID, base_params=BASE))
+        """The sweep document is the grid plus every run's own document."""
+        runs = run_sweep("ftp-alone", GRID, base_params=BASE)
+        legacy = {"scenario": "ftp-alone", "grid": GRID,
+                  "runs": [run.to_dict() for run in runs]}
         outcome = execute_sweep("ftp-alone", GRID, base_params=BASE, jobs=2)
         assert json.dumps(legacy, indent=2, sort_keys=True) + "\n" \
             == outcome.to_json()
@@ -196,7 +196,6 @@ class TestFailureIsolation:
         good, bad = outcome.points
         assert good.ok and bad.failure is not None
         assert bad.failure.error == "UnknownProtocolError"
-        assert bad.failure.attempts == 1
         assert "UnknownProtocolError" in bad.failure.traceback
         # KeyError subclasses must not leak repr()-quoted messages.
         assert bad.failure.message.startswith("no transfer protocol")
@@ -211,18 +210,16 @@ class TestFailureIsolation:
         assert outcome.points[0].ok
         assert outcome.points[1].failure.error == "UnknownProtocolError"
 
-    def test_retries_recounted(self):
-        outcome = execute_sweep("distribution", {"protocol": ["nope"]},
-                                base_params=FAILING_BASE, retries=2)
-        assert outcome.points[0].failure.attempts == 3
-        assert outcome.stats.retries_used == 2
-
     def test_run_sweep_api_raises_sweep_failure(self):
         with pytest.raises(SweepFailure) as err:
             run_sweep("distribution", FAILING_GRID,
-                      base_params=FAILING_BASE, retries=1)
-        assert len(err.value.failures) == 1
-        assert err.value.failures[0].failure.attempts == 2
+                      base_params=FAILING_BASE)
+        assert str(err.value).startswith("1 of 2 sweep points failed; "
+                                         "first: UnknownProtocolError")
+        [failed] = err.value.failures
+        assert failed.index == 1
+        assert failed.spec.params["protocol"] == "nope"
+        assert failed.failure.error == "UnknownProtocolError"
 
     def test_run_sweep_parallel_matches_serial_results(self):
         serial = run_sweep("ftp-alone", GRID, base_params=BASE)
@@ -250,13 +247,13 @@ class TestFailureIsolation:
                       progress=lines.append)
         assert len(lines) == 2
         assert lines[0].startswith("[1/2] distribution protocol=ftp")
-        assert "FAILED after 1 attempt" in lines[1]
+        assert "FAILED (UnknownProtocolError: no transfer protocol" \
+            in lines[1]
 
     def test_point_failure_to_dict(self):
-        failure = PointFailure(error="E", message="m", traceback="tb",
-                               attempts=2)
+        failure = PointFailure(error="E", message="m", traceback="tb")
         assert failure.to_dict() == {
-            "attempts": 2, "error": "E", "message": "m", "traceback": "tb"}
+            "error": "E", "message": "m", "traceback": "tb"}
 
 
 # ---------------------------------------------------------------------------
@@ -341,20 +338,51 @@ class TestRunCLI:
         assert "(cached)" in capsys.readouterr().out
         assert first.read_bytes() == second.read_bytes()
 
-    def test_run_without_cache_flags_stays_plain(self, tmp_path, capsys):
-        # The default `run` path keeps raw results (volatile keys included).
+    def test_run_without_cache_flags_stays_plain(self, capsys):
+        # Without --cache-dir a run executes and never touches the cache.
         assert cli_main(["run", "sync-storm", "--set", "n_workers=3",
                          "--set", "rounds=1", "--set", "size_mb=0.5"]) == 0
-        assert "wall_s" in capsys.readouterr().out
+        assert "# stats: wall_s=" in capsys.readouterr().err
+        assert len(ResultCache()) == 0
 
-    def test_run_failure_with_retries_exits_1(self, capsys):
+    def test_run_failure_exits_1(self, capsys):
         code = cli_main(["run", "distribution", "--set", "protocol=nope",
                          "--set", "size_mb=1.0", "--set", "n_nodes=2",
-                         "--retries", "1", "--no-cache", "--quiet"])
+                         "--quiet"])
         assert code == 1
         err = capsys.readouterr().err
-        assert "failed after 2 attempts" in err
-        assert "UnknownProtocolError" in err
+        assert "Traceback" in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(
+            "error: scenario 'distribution' failed: UnknownProtocolError: "
+            "no transfer protocol")
+
+    def test_run_matches_cached_run(self, tmp_path, capsys):
+        """``run X`` and ``run X --cache-dir D`` are one behaviour."""
+        cache_args = ["--cache-dir", str(tmp_path / "cache")]
+
+        # A scenario that raises exits 1 both ways.
+        failing = ["run", "sync-storm", "--set", "n_workers=0", "--quiet"]
+        assert cli_main(failing) == 1
+        assert cli_main(failing + cache_args) == 1
+        capsys.readouterr()
+
+        args = ["run", "sync-storm", "--set", "n_workers=3",
+                "--set", "rounds=1", "--set", "size_mb=0.5"]
+        outs = [tmp_path / f"{name}.json"
+                for name in ("plain", "cold", "warm")]
+        stats_lines = []
+        for out, extra in zip(outs, ([], cache_args, cache_args)):
+            assert cli_main(args + extra + ["--out", str(out)]) == 0
+            err = capsys.readouterr().err
+            stats_lines.append(sum(line.startswith("# stats:")
+                                   for line in err.splitlines()))
+        assert outs[0].read_bytes() == outs[1].read_bytes() \
+            == outs[2].read_bytes()
+        # One perf line per executed run; the warm run is a cache hit.
+        assert stats_lines == [1, 1, 0]
 
 
 class TestCacheCLI:
